@@ -1,0 +1,33 @@
+//! Order statistics over timing samples.
+
+/// The `q`-quantile (`0.0..=1.0`) of `values` by nearest rank on a sorted
+/// copy. Empty input gives `0.0`.
+pub fn quantile(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// The median of `values` (nearest rank; `0.0` for no samples).
+pub fn median(values: &[f64]) -> f64 {
+    quantile(values, 0.5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nearest_rank_quantiles() {
+        let v: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(median(&v), 50.0);
+        assert_eq!(quantile(&v, 0.99), 99.0);
+        assert_eq!(quantile(&v, 1.0), 100.0);
+        assert_eq!(quantile(&[3.0, 1.0, 2.0], 0.5), 2.0);
+        assert_eq!(median(&[]), 0.0);
+    }
+}
