@@ -58,13 +58,14 @@
 //! configuration re-runs one trial under a flight recorder and the
 //! per-request lifecycle (submit/allocate/release spans plus shed and
 //! recovered markers) is exported as Chrome trace-event JSON for Perfetto.
-//! Probes and tracers only observe, so the sweep's numbers are unaffected.
+//! Probes (the recorder is one) only observe, so the sweep's numbers are
+//! unaffected.
 
 use rsin_bench::{emit_table, network_by_name};
 use rsin_core::scheduler::{
     AddressMappedScheduler, GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler,
 };
-use rsin_obs::{FlightRecorder, NoopProbe, Telemetry};
+use rsin_obs::{FlightRecorder, Telemetry};
 use rsin_sim::replicate::merge_faulted;
 use rsin_sim::system::{
     fault_plan_seed, run_faulted_trials_model, run_faulted_trials_policy_probed, DegradedPolicy,
@@ -434,7 +435,7 @@ fn main() {
         let fcfg = FaultPlanConfig::links(0.005, MEAN_REPAIR, SIM_TIME);
         let plan = FaultPlan::generate(&net, &fcfg, fault_plan_seed(cfg.seed, 0));
         let sim = SystemSim::new(&net, cfg);
-        sim.try_run_faulted_trial_policy_traced(&optimal, &plan, 0, policy, &NoopProbe, &recorder)
+        sim.try_run_faulted_trial_policy_probed(&optimal, &plan, 0, policy, &recorder)
             .expect("traced capture trial");
         let snap = recorder.snapshot();
         let json = snap.to_chrome_json("faults/omega-8/max-flow");

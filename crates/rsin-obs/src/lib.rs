@@ -22,9 +22,9 @@
 //!   implementation, snapshot-exported as a [`TelemetryReport`] with a
 //!   hand-rolled JSON encoder (the workspace is offline; no serde).
 //! * [`trace`] — per-request causal spans ([`trace::SpanPhase`]) behind the
-//!   [`Tracer`] seam: a [`NoopTracer`] ZST for the off path, a bounded
-//!   [`FlightRecorder`] for the on path, exportable as Chrome trace-event
-//!   JSON or a canonical timestamp-free text form.
+//!   [`Probe`] lifecycle hooks: [`NoopProbe`] for the off path, a bounded
+//!   [`FlightRecorder`] probe for the on path, exportable as Chrome
+//!   trace-event JSON or a canonical timestamp-free text form.
 //! * [`window`] — epoch-rotated windowed counters/histograms and EWMA rate
 //!   estimators for "what happened recently" readouts, merged exactly
 //!   across lockstep replicas.
@@ -52,7 +52,5 @@ pub use hist::{bucket_ceil, bucket_floor, bucket_of, AtomicHistogram, HistogramS
 pub use probe::{Counter, EventKind, Hist, NoopProbe, Probe, SolveCounts, SolverId, Span};
 pub use ring::{EventRing, TraceEvent};
 pub use telemetry::{Telemetry, TelemetryReport};
-pub use trace::{
-    validate_spans, FlightRecorder, NoopTracer, SpanEvent, SpanPhase, TraceSnapshot, Tracer,
-};
+pub use trace::{validate_spans, FlightRecorder, SpanEvent, SpanPhase, TraceSnapshot};
 pub use window::{EwmaRate, WindowedCounter, WindowedHistogram};

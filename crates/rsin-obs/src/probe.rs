@@ -1,6 +1,7 @@
 //! The [`Probe`] trait: the single instrumentation seam every layer of the
 //! workspace reports through, and the enums naming what can be reported.
 
+use crate::trace::SpanPhase;
 use std::time::Instant;
 
 /// Monotonic counters a probe can accumulate. One variant per event class
@@ -390,6 +391,34 @@ pub trait Probe: Sync {
     fn finish(&self, span: Span, hist: Hist) {
         let _ = (span, hist);
     }
+
+    /// Whether the request-lifecycle hooks ([`Probe::span`],
+    /// [`Probe::span_pair`]) record anything. Callers may use this to skip
+    /// *computing* span operands, never to change semantics.
+    #[inline]
+    fn tracing(&self) -> bool {
+        false
+    }
+
+    /// Record one request-lifecycle span (see [`crate::trace`]): step
+    /// `phase` of request `req` with phase-specific operands `a`/`b`.
+    #[inline]
+    fn span(&self, req: u64, phase: SpanPhase, a: u64, b: u64) {
+        let _ = (req, phase, a, b);
+    }
+
+    /// Record two causally adjacent lifecycle spans (e.g. `Submit` and the
+    /// decision it produced) sharing one timestamp. The default delegates
+    /// to [`Probe::span`] twice; the
+    /// [`FlightRecorder`](crate::FlightRecorder) overrides it to amortize
+    /// the timebase read and ring reservation — the streaming scheduler's
+    /// request path emits every decision through here, which is what keeps
+    /// it inside the bench_smoke tracing-overhead gate.
+    #[inline]
+    fn span_pair(&self, first: (u64, SpanPhase, u64, u64), second: (u64, SpanPhase, u64, u64)) {
+        self.span(first.0, first.1, first.2, first.3);
+        self.span(second.0, second.1, second.2, second.3);
+    }
 }
 
 /// The default probe: a zero-sized type whose methods are the trait's empty
@@ -419,6 +448,9 @@ mod tests {
         p.record(Hist::QueueDepth, 7);
         p.event(1.0, EventKind::Arrival, 0, 0);
         p.solver(SolverId::MaxFlowDinic, SolveCounts::default());
+        assert!(!p.tracing());
+        p.span(1, SpanPhase::Submit, 0, 0);
+        p.span_pair((1, SpanPhase::Submit, 0, 0), (1, SpanPhase::Allocate, 0, 1));
     }
 
     #[test]

@@ -19,13 +19,15 @@
 //! every `Release` matches a prior `Allocate`/`Promote`, every `Withdraw` a
 //! prior `Queue`, and no id is reused while open.
 //!
-//! The seam is the [`Tracer`] trait, mirroring the
-//! [`Probe`](crate::Probe) contract: every method has an inlined empty
-//! default so the [`NoopTracer`] ZST compiles to nothing, tracers never
-//! influence control flow, never consume simulation randomness, and use
-//! bounded memory. The live implementation, [`FlightRecorder`], timestamps
-//! each span against its construction anchor and records into a lock-free
-//! fixed-capacity slot ring with exact drop accounting.
+//! The seam is the [`Probe`] trait's lifecycle hooks ([`Probe::span`],
+//! [`Probe::span_pair`], [`Probe::tracing`]): like every probe method they
+//! default to inlined no-ops, so [`NoopProbe`](crate::NoopProbe) records
+//! nothing, and the probe contract holds — spans never influence control
+//! flow, never consume simulation randomness, and use bounded memory. The
+//! live implementation, [`FlightRecorder`], is a probe that overrides only
+//! those hooks: it timestamps each span against its construction anchor
+//! and records into a lock-free fixed-capacity slot ring with exact drop
+//! accounting.
 //!
 //! A [`TraceSnapshot`] exports two ways: [`TraceSnapshot::to_chrome_json`]
 //! emits Chrome trace-event JSON (loadable in `chrome://tracing` or
@@ -34,6 +36,7 @@
 //! whose bytes depend only on the span sequence — the form determinism
 //! tests compare.
 
+use crate::Probe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -132,47 +135,6 @@ pub struct SpanEvent {
     pub b: u64,
 }
 
-/// The tracing seam. Same contract as [`Probe`](crate::Probe): every method
-/// defaults to an inlined no-op so [`NoopTracer`] costs nothing; tracers
-/// only record — they never influence control flow, never consume
-/// simulation randomness, and use bounded memory.
-///
-/// `Sync` is a supertrait so one recorder can sink spans from concurrent
-/// workers.
-pub trait Tracer: Sync {
-    /// Whether this tracer records anything. Callers may use this to skip
-    /// *computing* expensive span operands, never to change semantics.
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Record one lifecycle span.
-    #[inline]
-    fn span(&self, req: u64, phase: SpanPhase, a: u64, b: u64) {
-        let _ = (req, phase, a, b);
-    }
-
-    /// Record two causally adjacent spans (e.g. `Submit` and the decision
-    /// it produced) sharing one timestamp. The default delegates to
-    /// [`Tracer::span`] twice; live tracers override it to amortize the
-    /// timebase read and ring reservation — the streaming scheduler's
-    /// request path emits every decision through here, which is what keeps
-    /// it inside the bench_smoke tracing-overhead gate.
-    #[inline]
-    fn span_pair(&self, first: (u64, SpanPhase, u64, u64), second: (u64, SpanPhase, u64, u64)) {
-        self.span(first.0, first.1, first.2, first.3);
-        self.span(second.0, second.1, second.2, second.3);
-    }
-}
-
-/// The default tracer: a zero-sized type whose methods are the trait's
-/// empty defaults — the optimizer erases every call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {}
-
 /// One lock-free ring slot: the five [`SpanEvent`] fields as relaxed
 /// atomics, so writers never serialize on a lock.
 #[derive(Debug, Default)]
@@ -184,7 +146,7 @@ struct SpanSlot {
     b: AtomicU64,
 }
 
-/// The live tracer: a bounded in-memory flight recorder. Spans are
+/// The live lifecycle probe: a bounded in-memory flight recorder. Spans are
 /// timestamped against the construction anchor and written into a
 /// lock-free slot ring, so memory stays fixed and the most recent history
 /// survives; [`FlightRecorder::snapshot`] freezes it for export.
@@ -331,9 +293,12 @@ impl FlightRecorder {
     }
 }
 
-impl Tracer for FlightRecorder {
+/// Overrides only the lifecycle hooks: counters, histograms and events stay
+/// the trait's no-ops, so a recorder passed as an observed entry point's
+/// probe traces without counting.
+impl Probe for FlightRecorder {
     #[inline]
-    fn enabled(&self) -> bool {
+    fn tracing(&self) -> bool {
         true
     }
 
@@ -542,17 +507,10 @@ mod tests {
     }
 
     #[test]
-    fn noop_tracer_is_zero_sized_and_silent() {
-        assert_eq!(std::mem::size_of::<NoopTracer>(), 0);
-        let t = NoopTracer;
-        assert!(!t.enabled());
-        t.span(1, SpanPhase::Submit, 0, 0);
-    }
-
-    #[test]
     fn flight_recorder_keeps_spans_in_order_with_monotonic_stamps() {
         let fr = FlightRecorder::new(16);
-        assert!(fr.enabled());
+        assert!(fr.tracing());
+        assert!(!fr.enabled(), "a recorder traces but counts nothing");
         fr.span(1, SpanPhase::Submit, 3, 0);
         fr.span(1, SpanPhase::Allocate, 3, 7);
         fr.span(1, SpanPhase::Release, 3, 7);

@@ -1,15 +1,14 @@
 //! SERVE — the streaming scheduler service CLI.
 //!
-//! Drives the long-lived [`rsin_serve::Server`] event loop from the command
-//! line: generate or replay `R <p>` / `F <p>` command logs, write the
-//! canonical seq-ordered decision log, or sweep offered load and compare
-//! incremental (warm-start) decision throughput against per-event batch
-//! re-solves.
+//! Drives the [`rsin_serve::Server`] event loop from the command line:
+//! generate or replay `R <p>` / `F <p>` command logs, write the canonical
+//! seq-ordered decision log, or sweep offered load and compare incremental
+//! (warm-start) decision throughput against per-event batch re-solves.
 //!
 //! Usage:
 //!
 //! ```text
-//! serve [--net <name>] [--backend maxflow|mincost] [--workers N]
+//! serve [--net <name>] [--backend maxflow|mincost]
 //!       [--seed S] [--events N] [--load F] [--trial T]
 //!       [--record FILE] [--replay FILE] [--decisions FILE] [--sweep]
 //!       [--heavy] [--json] [--stats-every N] [--stats-latency] [--trace FILE]
@@ -17,7 +16,9 @@
 //!
 //! Modes (in precedence order):
 //!   --record FILE   generate a deterministic command log and write it; no
-//!                   scheduling happens (CI records once, replays twice).
+//!                   scheduling happens (CI records once, then checks the
+//!                   replayed log against the in-process one and a golden
+//!                   log).
 //!   --replay FILE   read a command log and serve it.
 //!   --sweep         saturation sweep: decisions/sec vs offered load,
 //!                   incremental vs batch, plus decision-latency
@@ -28,6 +29,9 @@
 //!                   and past saturation) and each row also reports the
 //!                   end-of-stream queue backlog.
 //!   (default)       generate a stream in-process and serve it.
+//!
+//! `--load F` is the request bias of the generated stream, a finite value
+//! in [0, 1]; anything else, like an unknown flag, exits with status 2.
 //!
 //! Observability:
 //!   --stats-every N interleave an in-band `S` stats probe after every N
@@ -47,21 +51,20 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use rsin_core::scheduler::IncrementalBackend;
-use rsin_obs::{FlightRecorder, Hist, NoopProbe, Probe, Telemetry, Tracer};
-use rsin_serve::{serve_commands_probed, serve_commands_traced, ServeReport, ServerConfig};
+use rsin_obs::{FlightRecorder, Hist, NoopProbe, Probe, Telemetry};
+use rsin_serve::{serve_commands_observed, ServeReport, ServerConfig};
 use rsin_sim::stream::{
     encode_commands, generate_commands, parse_commands, replay_batch, replay_incremental,
     with_stats_every, StreamCommand,
 };
 use rsin_topology::builders::{baseline, benes, flip, generalized_cube, omega};
 use rsin_topology::{GlobalTopology, Network, ShardedNetwork, ShardedSpec};
-use std::sync::Arc;
+use std::io::{BufWriter, Write};
 use std::time::Instant;
 
 struct Args {
     net: String,
     backend: IncrementalBackend,
-    workers: usize,
     seed: u64,
     trial: u64,
     events: usize,
@@ -81,7 +84,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         net: "omega16".to_string(),
         backend: IncrementalBackend::MaxFlow,
-        workers: 1,
         seed: 7,
         trial: 0,
         events: 512,
@@ -114,11 +116,16 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown backend {other:?}")),
                 }
             }
-            "--workers" => args.workers = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => args.seed = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--trial" => args.trial = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--events" => args.events = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--load" => args.load = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
+            "--load" => {
+                let raw = value(&mut i)?;
+                args.load = raw.parse().map_err(|e| format!("--load {raw:?}: {e}"))?;
+                if !(0.0..=1.0).contains(&args.load) {
+                    return Err(format!("--load {raw:?} is not a finite value in [0, 1]"));
+                }
+            }
             "--record" => args.record = Some(value(&mut i)?),
             "--replay" => args.replay = Some(value(&mut i)?),
             "--decisions" => args.decisions = Some(value(&mut i)?),
@@ -233,18 +240,12 @@ fn sweep(net: &Network, args: &Args) {
         let batch = replay_batch(net, &cmds).expect("valid stream");
         let batch_secs = t1.elapsed().as_secs_f64();
         assert_eq!(inc.len(), batch.len());
-        let telemetry = Arc::new(Telemetry::new());
+        let telemetry = Telemetry::new();
         let config = ServerConfig {
             backend: args.backend,
-            workers: args.workers,
             stats_latency: false,
         };
-        let report = serve_commands_probed(
-            net,
-            config,
-            &cmds,
-            Arc::clone(&telemetry) as Arc<dyn Probe + Send + Sync>,
-        );
+        let report = serve_commands_observed(net, config, &cmds, &telemetry);
         let lat = telemetry.histogram(Hist::DecisionLatencyNs);
         let per = cmds.len() as f64;
         let (inc_rate, batch_rate) = (per / inc_secs.max(1e-9), per / batch_secs.max(1e-9));
@@ -328,27 +329,38 @@ fn run() -> Result<(), String> {
 
     let config = ServerConfig {
         backend: args.backend,
-        workers: args.workers,
         stats_latency: args.stats_latency,
     };
     let recorder = args
         .trace
         .as_ref()
-        .map(|_| Arc::new(FlightRecorder::new(rsin_obs::trace::DEFAULT_TRACE_CAPACITY)));
-    let tracer: Arc<dyn Tracer + Send + Sync> = match &recorder {
-        Some(r) => Arc::clone(r) as Arc<dyn Tracer + Send + Sync>,
-        None => Arc::new(rsin_obs::NoopTracer),
+        .map(|_| FlightRecorder::new(rsin_obs::trace::DEFAULT_TRACE_CAPACITY));
+    let probe: &dyn Probe = match &recorder {
+        Some(r) => r,
+        None => &NoopProbe,
     };
     let t0 = Instant::now();
-    let report = serve_commands_traced(&net, config, &cmds, Arc::new(NoopProbe), tracer);
+    let report = serve_commands_observed(&net, config, &cmds, probe);
     let secs = t0.elapsed().as_secs_f64();
 
     match &args.decisions {
         Some(path) => {
-            std::fs::write(path, report.log()).map_err(|e| format!("write {path}: {e}"))?;
+            std::fs::File::create(path)
+                .and_then(|file| {
+                    let mut out = BufWriter::new(file);
+                    report.write_log(&mut out)?;
+                    out.flush()
+                })
+                .map_err(|e| format!("write {path}: {e}"))?;
             println!("wrote {} decision lines to {path}", report.lines.len());
         }
-        None => print!("{}", report.log()),
+        None => {
+            let mut out = BufWriter::new(std::io::stdout().lock());
+            report
+                .write_log(&mut out)
+                .and_then(|()| out.flush())
+                .map_err(|e| format!("write stdout: {e}"))?;
+        }
     }
     if let (Some(path), Some(recorder)) = (&args.trace, &recorder) {
         let snap = recorder.snapshot();

@@ -1,24 +1,20 @@
 //! # rsin-serve — streaming scheduler service
 //!
-//! A long-lived event loop over the warm-start
-//! [`IncrementalScheduler`]: commands arrive on an mpsc submit channel, one
-//! scheduler thread makes every decision **incrementally** on the retained
-//! residual flow (the transformation graph is built exactly once —
-//! `rebuilds` stays 1 for the lifetime of the service), and a pool of
-//! format workers renders the canonical decision-log lines.
+//! A long-lived event loop over the warm-start [`IncrementalScheduler`]:
+//! [`Server::submit`] decides each command **incrementally** on the
+//! retained residual flow (the transformation graph is built exactly once —
+//! `rebuilds` stays 1 for the lifetime of the service) and renders its
+//! canonical decision-log line, all on the caller's thread.
 //!
 //! ## Determinism contract
 //!
-//! The scheduler thread is the single decision maker and stamps every
-//! decision with a sequence number in submission order; worker threads only
-//! *format* already-made decisions, and the collector sorts the finished
-//! lines by sequence number. In-band `S` probes are snapshotted *and
-//! rendered* on the scheduler thread (a stats line quotes live occupancy,
-//! which only that thread sees consistently) and merely pass through the
-//! sorted pipeline. The emitted log — decision, error, and stats lines
-//! alike — is therefore byte-identical for any worker count; the CI
-//! `determinism` job replays a recorded command log (with interleaved `S`
-//! probes) at 1 and 8 workers and `cmp`s the logs. Wall-clock latency
+//! One loop decides, stamps and renders every command in submission order,
+//! so line `i` of the log answers command `i` by construction. In-band `S`
+//! probes snapshot the live occupancy at their exact position in the
+//! stream. The emitted log — decision, error, and stats lines alike — is
+//! therefore a pure function of the command stream; the CI `determinism`
+//! job `cmp`s a replayed command log against the same stream generated
+//! in-process and against a committed golden log. Wall-clock latency
 //! quantiles are the one nondeterministic readout, so they only appear
 //! under [`ServerConfig::stats_latency`], which CI leaves off.
 //!
@@ -30,23 +26,20 @@
 //! take the event loop down. See DESIGN.md §11 for the architecture and the
 //! cancel/augment invariants the scheduler relies on.
 
-use rsin_core::scheduler::{IncrementalBackend, IncrementalScheduler, ScheduleError};
-use rsin_obs::{NoopProbe, NoopTracer, Probe, Tracer, WindowedHistogram};
+use rsin_core::scheduler::{
+    IncrementalBackend, IncrementalScheduler, ScheduleError, StreamDecision,
+};
+use rsin_obs::{NoopProbe, Probe, WindowedHistogram};
 use rsin_sim::stream::{format_decision, StreamCommand};
 use rsin_topology::Network;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::io::{self, Write};
+use std::time::Instant;
 
 /// How a [`Server`] is run.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Flow discipline for the retained graph.
     pub backend: IncrementalBackend,
-    /// Number of format worker threads (clamped to at least 1). The
-    /// decision *log* is worker-count-invariant; workers only parallelize
-    /// rendering.
-    pub workers: usize,
     /// Append wall-clock decision-latency quantiles (`p50_ns=`/`p90_ns=`/
     /// `p99_ns=`, over the window since the previous `S` probe) to every
     /// stats line. Off by default: latency values vary run to run, so the
@@ -58,7 +51,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             backend: IncrementalBackend::MaxFlow,
-            workers: 1,
             stats_latency: false,
         }
     }
@@ -96,19 +88,17 @@ impl ServeReport {
         }
         s
     }
-}
 
-/// The submit side of a server was already closed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Closed;
-
-impl std::fmt::Display for Closed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "server event loop is closed")
+    /// Write the [`log`](Self::log) bytes to `out` line by line, without
+    /// building the whole log as a second copy.
+    pub fn write_log(&self, out: &mut impl Write) -> io::Result<()> {
+        for line in &self.lines {
+            out.write_all(line.as_bytes())?;
+            out.write_all(b"\n")?;
+        }
+        Ok(())
     }
 }
-
-impl std::error::Error for Closed {}
 
 /// The canonical rendering of a rejected command (kept next to
 /// [`format_decision`] semantics: sequence number first, then the verdict).
@@ -117,10 +107,9 @@ pub fn format_error(seq: u64, e: &ScheduleError) -> String {
 }
 
 /// What one in-band `S` probe sees: cumulative event counts plus the live
-/// occupancy, all snapshotted on the scheduler thread at the probe's
-/// position in the stream. Every field is a deterministic function of the
-/// command prefix, so the rendered line is part of the byte-identical
-/// determinism contract.
+/// occupancy at the probe's position in the stream. Every field is a
+/// deterministic function of the command prefix, so the rendered line is
+/// part of the byte-identical determinism contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Commands decided so far (excluding errors and probes).
@@ -143,10 +132,26 @@ pub struct StatsSnapshot {
     pub withdraws: u64,
 }
 
+impl StatsSnapshot {
+    /// Count one decision into the cumulative per-kind fields.
+    fn count(&mut self, d: &StreamDecision) {
+        self.decisions += 1;
+        match d {
+            StreamDecision::Allocated { .. } => self.allocs += 1,
+            StreamDecision::Queued { .. } => self.queues += 1,
+            StreamDecision::Released { promoted, .. } => {
+                self.releases += 1;
+                self.promotes += u64::from(promoted.is_some());
+            }
+            StreamDecision::Withdrawn { .. } => self.withdraws += 1,
+        }
+    }
+}
+
 /// The canonical stats line for probe `seq` (newline not included). Only
 /// deterministic event-count fields — wall-clock quantiles are appended
 /// separately (and only under [`ServerConfig::stats_latency`]) so this
-/// rendering is byte-identical at any worker count.
+/// rendering is byte-identical run to run.
 pub fn format_stats(seq: u64, s: &StatsSnapshot) -> String {
     format!(
         "{seq} stats decisions={} errors={} allocated={} queued={} allocs={} \
@@ -163,250 +168,115 @@ pub fn format_stats(seq: u64, s: &StatsSnapshot) -> String {
     )
 }
 
-/// What the scheduler thread hands back at shutdown.
-struct LoopStats {
-    decisions: u64,
-    errors: u64,
-    stats_probes: u64,
-    allocated: usize,
-    queued: usize,
-    rebuilds: u64,
-}
-
 /// A running streaming scheduler service.
 ///
-/// Built by [`Server::start`]; fed with [`Server::submit`]; torn down with
-/// [`Server::finish`], which closes the submit channel, drains the
-/// pipeline, and returns the [`ServeReport`].
-pub struct Server {
-    submit: Option<mpsc::Sender<StreamCommand>>,
-    scheduler: Option<JoinHandle<LoopStats>>,
-    workers: Vec<JoinHandle<()>>,
-    collector: Option<JoinHandle<Vec<(u64, String)>>>,
-}
-
-impl Server {
-    /// Start the event loop for `net` (unobserved).
-    pub fn start(net: &Network, config: ServerConfig) -> Server {
-        Self::start_probed(net, config, Arc::new(NoopProbe))
-    }
-
-    /// Start the event loop with per-decision probe reporting: every
-    /// decision bumps the `stream_*` counters and records its latency in
-    /// `decision_latency_ns` (see `rsin-obs`).
-    pub fn start_probed(
-        net: &Network,
-        config: ServerConfig,
-        probe: Arc<dyn Probe + Send + Sync>,
-    ) -> Server {
-        Self::start_traced(net, config, probe, Arc::new(NoopTracer))
-    }
-
-    /// [`start_probed`](Self::start_probed) plus per-request lifecycle
-    /// spans: every decision emits its submit/allocate/queue/promote/
-    /// release span into `tracer` (typically a flight recorder the caller
-    /// exports after [`finish`](Self::finish)). Tracing never changes
-    /// decisions or log bytes.
-    pub fn start_traced(
-        net: &Network,
-        config: ServerConfig,
-        probe: Arc<dyn Probe + Send + Sync>,
-        tracer: Arc<dyn Tracer + Send + Sync>,
-    ) -> Server {
-        let inc = IncrementalScheduler::new(net, config.backend);
-        let (submit_tx, submit_rx) = mpsc::channel::<StreamCommand>();
-        let (work_tx, work_rx) = mpsc::channel::<(u64, Work)>();
-        let (line_tx, line_rx) = mpsc::channel::<(u64, String)>();
-
-        let scheduler = std::thread::spawn(move || {
-            scheduler_loop(
-                inc,
-                &*probe,
-                &*tracer,
-                config.stats_latency,
-                submit_rx,
-                work_tx,
-            )
-        });
-
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
-                let work_rx = Arc::clone(&work_rx);
-                let line_tx = line_tx.clone();
-                std::thread::spawn(move || worker_loop(&work_rx, &line_tx))
-            })
-            .collect();
-        drop(line_tx);
-
-        let collector = std::thread::spawn(move || {
-            let mut lines: Vec<(u64, String)> = line_rx.iter().collect();
-            lines.sort_by_key(|&(seq, _)| seq);
-            lines
-        });
-
-        Server {
-            submit: Some(submit_tx),
-            scheduler: Some(scheduler),
-            workers,
-            collector: Some(collector),
-        }
-    }
-
-    /// Enqueue one command. Fails only if the event loop is gone.
-    pub fn submit(&self, cmd: StreamCommand) -> Result<(), Closed> {
-        self.submit
-            .as_ref()
-            .ok_or(Closed)?
-            .send(cmd)
-            .map_err(|_| Closed)
-    }
-
-    /// Close the submit channel, drain every stage, and return the report.
-    pub fn finish(mut self) -> ServeReport {
-        self.submit.take();
-        let stats = self
-            .scheduler
-            .take()
-            .expect("finish runs once")
-            .join()
-            .expect("scheduler thread never panics");
-        for w in self.workers.drain(..) {
-            w.join().expect("worker threads never panic");
-        }
-        let lines = self
-            .collector
-            .take()
-            .expect("finish runs once")
-            .join()
-            .expect("collector thread never panics");
-        ServeReport {
-            lines: lines.into_iter().map(|(_, l)| l).collect(),
-            decisions: stats.decisions,
-            errors: stats.errors,
-            stats_probes: stats.stats_probes,
-            allocated: stats.allocated,
-            queued: stats.queued,
-            rebuilds: stats.rebuilds,
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        // Closing the submit side is enough: every stage downstream drains
-        // and exits on channel disconnect. Detached handles finish on their
-        // own; nothing blocks.
-        self.submit.take();
-    }
-}
-
-/// What the scheduler thread hands a worker: an undecided rendering job, or
-/// a line it had to render itself. `S` probes snapshot live scheduler state,
-/// so their lines are formatted on the scheduler thread at the probe's exact
-/// position in the stream and only *pass through* the seq-sorted pipeline.
-enum Work {
-    Decision(Result<rsin_core::scheduler::StreamDecision, ScheduleError>),
-    Rendered(String),
-}
-
-fn scheduler_loop(
-    mut inc: IncrementalScheduler,
-    probe: &dyn Probe,
-    tracer: &dyn Tracer,
+/// Built by [`Server::start`] (or [`Server::start_observed`]); fed with
+/// [`Server::submit`], which decides and renders each command before it
+/// returns; torn down with [`Server::finish`], which returns the
+/// [`ServeReport`].
+pub struct Server<'p> {
+    inc: IncrementalScheduler,
+    probe: &'p dyn Probe,
     stats_latency: bool,
-    submit_rx: mpsc::Receiver<StreamCommand>,
-    work_tx: mpsc::Sender<(u64, Work)>,
-) -> LoopStats {
-    let mut snap = StatsSnapshot::default();
-    let mut stats_probes = 0u64;
-    let mut latency = WindowedHistogram::new();
-    for (seq, cmd) in submit_rx.into_iter().enumerate() {
-        let seq = seq as u64;
-        if matches!(cmd, StreamCommand::Stats) {
-            stats_probes += 1;
-            snap.allocated = inc.allocated_count();
-            snap.queued = inc.queued_count();
-            let mut line = format_stats(seq, &snap);
-            if stats_latency {
-                // Close the window that accumulated since the last probe
-                // and quote it. Wall-clock values: never part of the
-                // deterministic byte contract, hence behind the flag.
-                latency.rotate();
-                let w = latency.previous();
-                line.push_str(&format!(
-                    " p50_ns={} p90_ns={} p99_ns={}",
-                    w.p50(),
-                    w.p90(),
-                    w.p99()
-                ));
-            }
-            if work_tx.send((seq, Work::Rendered(line))).is_err() {
-                break;
-            }
-            continue;
+    latency: WindowedHistogram,
+    snap: StatsSnapshot,
+    stats_probes: u64,
+    lines: Vec<String>,
+}
+
+impl Server<'static> {
+    /// Start the event loop for `net` (unobserved).
+    pub fn start(net: &Network, config: ServerConfig) -> Self {
+        Server::start_observed(net, config, &NoopProbe)
+    }
+}
+
+impl<'p> Server<'p> {
+    /// Start the event loop with per-decision probe reporting: every
+    /// decision bumps the `stream_*` counters, records its latency in
+    /// `decision_latency_ns` (see `rsin-obs`), and emits its
+    /// submit/allocate/queue/promote/release lifecycle spans — a
+    /// [`FlightRecorder`](rsin_obs::FlightRecorder) probe captures them for
+    /// export after [`finish`](Self::finish). Probes never change decisions
+    /// or log bytes.
+    pub fn start_observed(net: &Network, config: ServerConfig, probe: &'p dyn Probe) -> Self {
+        Server {
+            inc: IncrementalScheduler::new(net, config.backend),
+            probe,
+            stats_latency: config.stats_latency,
+            latency: WindowedHistogram::new(),
+            snap: StatsSnapshot::default(),
+            stats_probes: 0,
+            lines: Vec::new(),
         }
-        let started = stats_latency.then(std::time::Instant::now);
+    }
+
+    /// Decide one command and append its log line: a decision, an `error`
+    /// line for a rejected command, or a `stats` line for an `S` probe.
+    pub fn submit(&mut self, cmd: StreamCommand) {
+        let seq = self.lines.len() as u64;
+        let started = self.stats_latency.then(Instant::now);
         let result = match cmd {
-            StreamCommand::Request { processor } => inc.request_traced(processor, probe, tracer),
-            StreamCommand::Release { processor } => inc.release_traced(processor, probe, tracer),
-            StreamCommand::Stats => unreachable!("handled above"),
+            StreamCommand::Request { processor } => {
+                self.inc.request_observed(processor, self.probe)
+            }
+            StreamCommand::Release { processor } => {
+                self.inc.release_observed(processor, self.probe)
+            }
+            StreamCommand::Stats => {
+                let line = self.stats_line(seq);
+                self.lines.push(line);
+                return;
+            }
         };
         if let Some(t) = started {
-            latency.record(t.elapsed().as_nanos() as u64);
+            self.latency.record(t.elapsed().as_nanos() as u64);
         }
-        match &result {
+        let line = match result {
             Ok(d) => {
-                snap.decisions += 1;
-                use rsin_core::scheduler::StreamDecision as D;
-                match d {
-                    D::Allocated { .. } => snap.allocs += 1,
-                    D::Queued { .. } => snap.queues += 1,
-                    D::Released { promoted, .. } => {
-                        snap.releases += 1;
-                        snap.promotes += u64::from(promoted.is_some());
-                    }
-                    D::Withdrawn { .. } => snap.withdraws += 1,
-                }
+                self.snap.count(&d);
+                format_decision(seq, &d)
             }
-            Err(_) => snap.errors += 1,
-        }
-        if work_tx.send((seq, Work::Decision(result))).is_err() {
-            break;
-        }
+            Err(e) => {
+                self.snap.errors += 1;
+                format_error(seq, &e)
+            }
+        };
+        self.lines.push(line);
     }
-    LoopStats {
-        decisions: snap.decisions,
-        errors: snap.errors,
-        stats_probes,
-        allocated: inc.allocated_count(),
-        queued: inc.queued_count(),
-        rebuilds: inc.rebuilds(),
-    }
-}
 
-fn worker_loop(
-    work_rx: &Mutex<mpsc::Receiver<(u64, Work)>>,
-    line_tx: &mpsc::Sender<(u64, String)>,
-) {
-    loop {
-        // Hold the lock only for the recv; formatting runs unlocked so
-        // workers overlap.
-        let item = match work_rx.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return,
-        };
-        let (seq, work) = match item {
-            Ok(it) => it,
-            Err(_) => return,
-        };
-        let line = match work {
-            Work::Decision(Ok(d)) => format_decision(seq, &d),
-            Work::Decision(Err(e)) => format_error(seq, &e),
-            Work::Rendered(line) => line,
-        };
-        if line_tx.send((seq, line)).is_err() {
-            return;
+    /// Snapshot the stream position and render probe `seq`'s stats line.
+    fn stats_line(&mut self, seq: u64) -> String {
+        self.stats_probes += 1;
+        self.snap.allocated = self.inc.allocated_count();
+        self.snap.queued = self.inc.queued_count();
+        let mut line = format_stats(seq, &self.snap);
+        if self.stats_latency {
+            // Close the window that accumulated since the last probe and
+            // quote it. Wall-clock values: never part of the deterministic
+            // byte contract, hence behind the flag.
+            self.latency.rotate();
+            let w = self.latency.previous();
+            line.push_str(&format!(
+                " p50_ns={} p90_ns={} p99_ns={}",
+                w.p50(),
+                w.p90(),
+                w.p99()
+            ));
+        }
+        line
+    }
+
+    /// Shut the service down and return the report.
+    pub fn finish(self) -> ServeReport {
+        ServeReport {
+            lines: self.lines,
+            decisions: self.snap.decisions,
+            errors: self.snap.errors,
+            stats_probes: self.stats_probes,
+            allocated: self.inc.allocated_count(),
+            queued: self.inc.queued_count(),
+            rebuilds: self.inc.rebuilds(),
         }
     }
 }
@@ -417,31 +287,21 @@ pub fn serve_commands(
     config: ServerConfig,
     commands: &[StreamCommand],
 ) -> ServeReport {
-    serve_commands_probed(net, config, commands, Arc::new(NoopProbe))
+    serve_commands_observed(net, config, commands, &NoopProbe)
 }
 
-/// [`serve_commands`] with probe reporting.
-pub fn serve_commands_probed(
+/// [`serve_commands`] with probe reporting (counters, latency histogram and
+/// lifecycle spans; see [`Server::start_observed`]).
+pub fn serve_commands_observed(
     net: &Network,
     config: ServerConfig,
     commands: &[StreamCommand],
-    probe: Arc<dyn Probe + Send + Sync>,
+    probe: &dyn Probe,
 ) -> ServeReport {
-    serve_commands_traced(net, config, commands, probe, Arc::new(NoopTracer))
-}
-
-/// [`serve_commands`] with probe and lifecycle-span reporting.
-pub fn serve_commands_traced(
-    net: &Network,
-    config: ServerConfig,
-    commands: &[StreamCommand],
-    probe: Arc<dyn Probe + Send + Sync>,
-    tracer: Arc<dyn Tracer + Send + Sync>,
-) -> ServeReport {
-    let server = Server::start_traced(net, config, probe, tracer);
+    let mut server = Server::start_observed(net, config, probe);
+    server.lines.reserve_exact(commands.len());
     for &cmd in commands {
-        // The loop outlives the submit side by construction here.
-        server.submit(cmd).expect("event loop is running");
+        server.submit(cmd);
     }
     server.finish()
 }
@@ -449,66 +309,51 @@ pub fn serve_commands_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsin_core::scheduler::StreamDecision;
     use rsin_obs::{Counter, Telemetry};
     use rsin_sim::stream::{generate_commands, replay_incremental};
     use rsin_topology::builders::omega;
 
-    fn cfg(workers: usize, backend: IncrementalBackend) -> ServerConfig {
+    fn cfg(backend: IncrementalBackend) -> ServerConfig {
         ServerConfig {
             backend,
-            workers,
-            stats_latency: false,
-        }
-    }
-
-    #[test]
-    fn decision_log_is_byte_identical_across_worker_counts() {
-        let net = omega(8).unwrap();
-        let cmds = generate_commands(8, 400, 0.7, 21, 0);
-        for backend in [IncrementalBackend::MaxFlow, IncrementalBackend::MinCost] {
-            let one = serve_commands(&net, cfg(1, backend), &cmds);
-            for workers in [2, 8] {
-                let many = serve_commands(&net, cfg(workers, backend), &cmds);
-                assert_eq!(one.log(), many.log(), "workers={workers} {backend:?}");
-            }
-            assert_eq!(one.rebuilds, 1);
-            assert_eq!(one.decisions, cmds.len() as u64);
-            assert_eq!(one.errors, 0);
+            ..Default::default()
         }
     }
 
     #[test]
     fn server_log_matches_direct_replay() {
         let net = omega(8).unwrap();
-        let cmds = generate_commands(8, 200, 0.6, 9, 0);
-        let report = serve_commands(&net, cfg(4, IncrementalBackend::MaxFlow), &cmds);
-        let direct = replay_incremental(&net, IncrementalBackend::MaxFlow, &cmds).unwrap();
-        let want: Vec<String> = direct
-            .iter()
-            .enumerate()
-            .map(|(i, d)| format_decision(i as u64, d))
-            .collect();
-        assert_eq!(report.lines, want);
+        let backends = [IncrementalBackend::MaxFlow, IncrementalBackend::MinCost];
+        for (events, load, seed) in [(200, 0.6, 9), (400, 0.7, 21)] {
+            let cmds = generate_commands(8, events, load, seed, 0);
+            for backend in backends {
+                let report = serve_commands(&net, cfg(backend), &cmds);
+                let direct = replay_incremental(&net, backend, &cmds).unwrap();
+                let want: Vec<String> = direct
+                    .iter()
+                    .enumerate()
+                    .map(|(i, d)| format_decision(i as u64, d))
+                    .collect();
+                assert_eq!(report.lines, want, "seed {seed} {backend:?}");
+                assert_eq!(report.rebuilds, 1);
+                assert_eq!(report.decisions, cmds.len() as u64);
+                assert_eq!(report.errors, 0);
+                let mut written = Vec::new();
+                report.write_log(&mut written).unwrap();
+                assert_eq!(written, report.log().into_bytes());
+            }
+        }
     }
 
     #[test]
     fn malformed_commands_become_error_lines_and_service_survives() {
         let net = omega(8).unwrap();
-        let server = Server::start(&net, cfg(2, IncrementalBackend::MaxFlow));
-        server
-            .submit(StreamCommand::Request { processor: 0 })
-            .unwrap();
+        let mut server = Server::start(&net, cfg(IncrementalBackend::MaxFlow));
+        server.submit(StreamCommand::Request { processor: 0 });
         // Duplicate request and out-of-range processor are both rejected.
-        server
-            .submit(StreamCommand::Request { processor: 0 })
-            .unwrap();
-        server
-            .submit(StreamCommand::Request { processor: 99 })
-            .unwrap();
-        server
-            .submit(StreamCommand::Release { processor: 0 })
-            .unwrap();
+        server.submit(StreamCommand::Request { processor: 0 });
+        server.submit(StreamCommand::Request { processor: 99 });
+        server.submit(StreamCommand::Release { processor: 0 });
         let report = server.finish();
         assert_eq!(report.decisions, 2);
         assert_eq!(report.errors, 2);
@@ -535,13 +380,9 @@ mod tests {
     fn probes_see_per_decision_counters() {
         let net = omega(8).unwrap();
         let cmds = generate_commands(8, 100, 0.7, 33, 0);
-        let telemetry = Arc::new(Telemetry::new());
-        let report = serve_commands_probed(
-            &net,
-            cfg(2, IncrementalBackend::MaxFlow),
-            &cmds,
-            Arc::clone(&telemetry) as Arc<dyn Probe + Send + Sync>,
-        );
+        let telemetry = Telemetry::new();
+        let report =
+            serve_commands_observed(&net, cfg(IncrementalBackend::MaxFlow), &cmds, &telemetry);
         assert_eq!(
             telemetry.counter(Counter::StreamDecisions),
             report.decisions
@@ -557,14 +398,15 @@ mod tests {
     }
 
     #[test]
-    fn stats_lines_snapshot_the_stream_position_at_any_worker_count() {
+    fn stats_lines_snapshot_the_stream_position() {
         let net = omega(8).unwrap();
         let cmds = rsin_sim::stream::with_stats_every(&generate_commands(8, 300, 0.7, 21, 0), 50);
-        let one = serve_commands(&net, cfg(1, IncrementalBackend::MaxFlow), &cmds);
-        for workers in [2, 8] {
-            let many = serve_commands(&net, cfg(workers, IncrementalBackend::MaxFlow), &cmds);
-            assert_eq!(one.log(), many.log(), "stats lines broke determinism");
-        }
+        let one = serve_commands(&net, cfg(IncrementalBackend::MaxFlow), &cmds);
+        assert_eq!(
+            one.log(),
+            serve_commands(&net, cfg(IncrementalBackend::MaxFlow), &cmds).log(),
+            "stats lines broke determinism"
+        );
         assert_eq!(one.stats_probes, 6, "one probe per 50-command chunk");
         assert_eq!(one.decisions, 300);
         let stats: Vec<&String> = one.lines.iter().filter(|l| l.contains(" stats ")).collect();
@@ -596,8 +438,10 @@ mod tests {
         let net = omega(8).unwrap();
         let mut cmds = generate_commands(8, 40, 0.7, 3, 0);
         cmds.push(StreamCommand::Stats);
-        let mut config = cfg(2, IncrementalBackend::MaxFlow);
-        config.stats_latency = true;
+        let config = ServerConfig {
+            stats_latency: true,
+            ..cfg(IncrementalBackend::MaxFlow)
+        };
         let report = serve_commands(&net, config, &cmds);
         let stats_line = report
             .lines
@@ -608,7 +452,7 @@ mod tests {
             assert!(stats_line.contains(field), "{stats_line}");
         }
         // The deterministic prefix is unchanged by the flag.
-        let plain = serve_commands(&net, cfg(2, IncrementalBackend::MaxFlow), &cmds);
+        let plain = serve_commands(&net, cfg(IncrementalBackend::MaxFlow), &cmds);
         let plain_line = plain.lines.iter().find(|l| l.contains(" stats ")).unwrap();
         assert!(stats_line.starts_with(plain_line.as_str()), "{stats_line}");
     }
@@ -618,15 +462,10 @@ mod tests {
         use rsin_obs::{validate_spans, FlightRecorder, SpanPhase};
         let net = omega(8).unwrap();
         let cmds = generate_commands(8, 200, 0.8, 17, 0);
-        let plain = serve_commands(&net, cfg(4, IncrementalBackend::MaxFlow), &cmds);
-        let recorder = Arc::new(FlightRecorder::new(rsin_obs::trace::DEFAULT_TRACE_CAPACITY));
-        let traced = serve_commands_traced(
-            &net,
-            cfg(4, IncrementalBackend::MaxFlow),
-            &cmds,
-            Arc::new(NoopProbe),
-            Arc::clone(&recorder) as Arc<dyn Tracer + Send + Sync>,
-        );
+        let plain = serve_commands(&net, cfg(IncrementalBackend::MaxFlow), &cmds);
+        let recorder = FlightRecorder::new(rsin_obs::trace::DEFAULT_TRACE_CAPACITY);
+        let traced =
+            serve_commands_observed(&net, cfg(IncrementalBackend::MaxFlow), &cmds, &recorder);
         assert_eq!(plain.log(), traced.log(), "tracing must not change the log");
         let snap = recorder.snapshot();
         assert_eq!(snap.dropped, 0);
@@ -652,11 +491,9 @@ mod tests {
         // Saturate a tiny crossbar-free scenario: more requests than
         // resources forces queueing, then a release must promote.
         let net = omega(4).unwrap();
-        let server = Server::start(&net, cfg(1, IncrementalBackend::MaxFlow));
+        let mut server = Server::start(&net, cfg(IncrementalBackend::MaxFlow));
         for p in 0..4 {
-            server
-                .submit(StreamCommand::Request { processor: p })
-                .unwrap();
+            server.submit(StreamCommand::Request { processor: p });
         }
         let report = server.finish();
         let allocated = report
@@ -666,16 +503,6 @@ mod tests {
             .count();
         assert_eq!(allocated, report.allocated);
         assert_eq!(report.allocated + report.queued, 4);
-    }
-
-    #[test]
-    fn drop_without_finish_does_not_hang() {
-        let net = omega(8).unwrap();
-        let server = Server::start(&net, cfg(4, IncrementalBackend::MaxFlow));
-        server
-            .submit(StreamCommand::Request { processor: 1 })
-            .unwrap();
-        drop(server);
     }
 
     #[test]

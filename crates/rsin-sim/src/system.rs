@@ -22,7 +22,7 @@ use rand::Rng;
 use rsin_core::conformance::ConformanceDetector;
 use rsin_core::model::{FreeResource, ScheduleProblem, ScheduleRequest};
 use rsin_core::scheduler::{ScheduleError, ScheduleScratch, Scheduler};
-use rsin_obs::{Counter, NoopProbe, NoopTracer, Probe, SpanPhase, Tracer};
+use rsin_obs::{Counter, NoopProbe, Probe, SpanPhase};
 use rsin_topology::{
     CircuitError, CircuitId, CircuitState, FaultAction, FaultDomain, FaultPlan, FaultPlanConfig,
     FaultTarget, Network,
@@ -459,6 +459,14 @@ impl<'n> SystemSim<'n> {
     /// [`Self::run_faulted_trial_policy_probed`] with typed errors: the
     /// event loop propagates scheduler failures and bookkeeping-invariant
     /// violations as [`SimError`] instead of panicking mid-run.
+    ///
+    /// The probe also receives per-request lifecycle spans: every task
+    /// emits `submit` at arrival, `allocate` when its circuit is
+    /// established, and `release` when transmission completes, with
+    /// `shed` / `recovered` markers on degraded cycles. Request ids are
+    /// globally unique within the run. Spans follow the probe contract —
+    /// they only record, so statistics are bit-identical under a
+    /// [`FlightRecorder`](rsin_obs::FlightRecorder).
     pub fn try_run_faulted_trial_policy_probed(
         &self,
         scheduler: &dyn Scheduler,
@@ -466,25 +474,6 @@ impl<'n> SystemSim<'n> {
         trial: u64,
         policy: DegradedPolicy,
         probe: &dyn Probe,
-    ) -> Result<FaultedStats, SimError> {
-        self.try_run_faulted_trial_policy_traced(scheduler, plan, trial, policy, probe, &NoopTracer)
-    }
-
-    /// [`Self::try_run_faulted_trial_policy_probed`] plus per-request
-    /// lifecycle spans: every task emits `submit` at arrival, `allocate`
-    /// when its circuit is established, and `release` when transmission
-    /// completes, with `shed` / `recovered` markers on degraded cycles.
-    /// Request ids are globally unique within the run. The tracer follows
-    /// the probe contract — it only records, so statistics are
-    /// bit-identical to the untraced run.
-    pub fn try_run_faulted_trial_policy_traced(
-        &self,
-        scheduler: &dyn Scheduler,
-        plan: &FaultPlan,
-        trial: u64,
-        policy: DegradedPolicy,
-        probe: &dyn Probe,
-        tracer: &dyn Tracer,
     ) -> Result<FaultedStats, SimError> {
         let cfg = &self.cfg;
         let mut rng: StdRng = trial_rng(cfg.seed, trial);
@@ -597,7 +586,7 @@ impl<'n> SystemSim<'n> {
                             shed_arrivals += 1;
                             continue;
                         }
-                        tracer.span(next_req, SpanPhase::Submit, processor as u64, ty as u64);
+                        probe.span(next_req, SpanPhase::Submit, processor as u64, ty as u64);
                         queue[processor].push_back((now, ty, next_req));
                     }
                     let next = now + exponential(&mut rng, gap_rate);
@@ -617,7 +606,7 @@ impl<'n> SystemSim<'n> {
                         error,
                     })?;
                     probe.add(Counter::Releases, 1);
-                    tracer.span(req, SpanPhase::Release, processor as u64, resource as u64);
+                    probe.span(req, SpanPhase::Release, processor as u64, resource as u64);
                     if probe.enabled() {
                         probe.event(
                             now,
@@ -822,12 +811,12 @@ impl<'n> SystemSim<'n> {
                     probe.event(now, rsin_obs::EventKind::Shed, shed, 0);
                 }
             }
-            if tracer.enabled() {
+            if probe.tracing() {
                 if recovered > 0 {
-                    tracer.span(0, SpanPhase::Recovered, recovered, 0);
+                    probe.span(0, SpanPhase::Recovered, recovered, 0);
                 }
                 if shed > 0 {
-                    tracer.span(0, SpanPhase::Shed, shed, 0);
+                    probe.span(0, SpanPhase::Shed, shed, 0);
                 }
             }
             if shed == 0 {
@@ -848,7 +837,7 @@ impl<'n> SystemSim<'n> {
                 let (arrived, ty, req) = queue[a.processor].pop_front().ok_or(SimError::State(
                     "assignment for a processor with an empty queue",
                 ))?;
-                tracer.span(
+                probe.span(
                     req,
                     SpanPhase::Allocate,
                     a.processor as u64,
@@ -1192,12 +1181,11 @@ mod tests {
             .unwrap();
         let recorder = FlightRecorder::new(1 << 20);
         let traced = sim
-            .try_run_faulted_trial_policy_traced(
+            .try_run_faulted_trial_policy_probed(
                 &scheduler,
                 &plan,
                 0,
                 DegradedPolicy::Bfs,
-                &NoopProbe,
                 &recorder,
             )
             .unwrap();

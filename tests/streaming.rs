@@ -8,7 +8,9 @@
 //! with the transformation graph built exactly once. The retained *mapping*
 //! is only allocation-count-equivalent (arrivals may re-route existing units
 //! through cancellation arcs), so the mapping itself is checked for
-//! validity, not pointwise equality.
+//! validity, not pointwise equality. The command-log codec those streams
+//! are replayed from never panics: arbitrary text is a command list or a
+//! typed error.
 
 use proptest::prelude::*;
 use rsin_core::mapping::verify;
@@ -17,6 +19,7 @@ use rsin_core::scheduler::{
     IncrementalBackend, IncrementalScheduler, MaxFlowScheduler, ScheduleScratch, Scheduler,
     StreamDecision,
 };
+use rsin_sim::stream::{encode_commands, parse_commands, CodecError};
 use rsin_topology::builders::{generalized_cube, omega};
 use rsin_topology::{CircuitState, Network};
 
@@ -140,6 +143,70 @@ mod codec_regression {
             parse_commands("R 5\nF 5").expect("bare log parses"),
         );
     }
+}
+
+/// Bytes drawn mostly from the codec's own alphabet (ops, digits, signs,
+/// spaces, newlines), one pick in ten any byte at all.
+fn arb_codec_bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+    const CODEC_BYTES: &[u8] = b"RFS0123456789+- \n";
+    let pick = (0u8..10, 0..CODEC_BYTES.len(), 0u8..=255);
+    proptest::collection::vec(pick, len).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|(w, i, raw)| if w < 9 { CODEC_BYTES[i] } else { raw })
+            .collect()
+    })
+}
+
+/// Command-log text, decoded lossily so invalid UTF-8 becomes replacement
+/// characters: lines that are mostly well-formed (`R n`, `F n`, `S`, blank,
+/// comment; so some whole logs parse) mixed with lines of codec bytes.
+fn arb_log_text() -> impl Strategy<Value = String> {
+    let line = (0u8..20, 0usize..1000, 0usize..3, arb_codec_bytes(0..12));
+    proptest::collection::vec(line, 0..12).prop_map(|lines| {
+        let mut bytes = Vec::new();
+        for (kind, n, pad, junk) in lines {
+            bytes.extend(std::iter::repeat_n(b' ', pad));
+            match kind {
+                0..=5 => bytes.extend(format!("R {n}").bytes()),
+                6..=11 => bytes.extend(format!("F {n}").bytes()),
+                12..=14 => bytes.push(b'S'),
+                15 => {}
+                16 => bytes.extend(b"# note"),
+                _ => bytes.extend(junk),
+            }
+            bytes.push(b'\n');
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The codec never panics: any text parses to commands or to a typed
+    /// error naming a line of the input, and every accepted log
+    /// round-trips through the encoder.
+    #[test]
+    fn codec_never_panics_and_accepted_logs_round_trip(
+        structured in arb_log_text(),
+        raw in arb_codec_bytes(0..96),
+    ) {
+        for text in [structured, String::from_utf8_lossy(&raw).into_owned()] {
+            check_codec(&text)?;
+        }
+    }
+}
+
+/// One codec case: `Ok` round-trips, `Err` names a line of the input.
+fn check_codec(text: &str) -> Result<(), TestCaseError> {
+    match parse_commands(text) {
+        Ok(cmds) => prop_assert_eq!(parse_commands(&encode_commands(&cmds)), Ok(cmds)),
+        Err(CodecError { line, .. }) => {
+            prop_assert!((1..=text.lines().count()).contains(&line), "line {}", line);
+        }
+    }
+    Ok(())
 }
 
 proptest! {

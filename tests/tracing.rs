@@ -1,23 +1,22 @@
 //! Tracing transparency (proptest).
 //!
-//! The tracer contract (DESIGN.md §13): tracers *observe* the request
-//! lifecycle, they never steer it. For arbitrary interleaved
-//! arrival/release scripts, on both incremental flow backends, running the
-//! same stream plain, under the [`NoopTracer`], and under a live
+//! The probe contract applied to lifecycle spans (DESIGN.md §13): probes
+//! *observe* the request lifecycle, they never steer it. For arbitrary
+//! interleaved arrival/release scripts, on both incremental flow backends,
+//! running the same stream plain, under the [`NoopProbe`], and under a live
 //! [`FlightRecorder`] must produce identical decision sequences and
 //! identical retained allocation counts — and the recorded spans must form
 //! well-chained request lifecycles (`Submit → {Allocate | Queue →
 //! {Promote → …, Withdraw}} → Release`, open chains allowed at stream
-//! end). The serve pipeline inherits the same guarantee byte-for-byte on
-//! its decision log, including interleaved in-band `S` stats lines.
+//! end). The serve loop inherits the same guarantee byte-for-byte on its
+//! decision log, including interleaved in-band `S` stats lines.
 
 use proptest::prelude::*;
 use rsin_core::scheduler::{IncrementalBackend, IncrementalScheduler, StreamDecision};
-use rsin_obs::{validate_spans, FlightRecorder, NoopProbe, NoopTracer, SpanPhase};
-use rsin_serve::{serve_commands, serve_commands_traced, ServerConfig};
+use rsin_obs::{validate_spans, FlightRecorder, NoopProbe, SpanPhase};
+use rsin_serve::{serve_commands, serve_commands_observed, ServerConfig};
 use rsin_sim::stream::{generate_commands, with_stats_every};
 use rsin_topology::builders::omega;
-use std::sync::Arc;
 
 /// A raw interleaving script over 8 processors: the live state decides
 /// whether each pick arrives or releases, so every script is valid.
@@ -28,8 +27,9 @@ fn arb_script() -> impl Strategy<Value = Vec<usize>> {
 const BACKENDS: [IncrementalBackend; 2] =
     [IncrementalBackend::MaxFlow, IncrementalBackend::MinCost];
 
-/// Lockstep triple run of one script on one backend: plain vs noop-traced
-/// vs live-traced. Returns the live recorder for span checks.
+/// Lockstep triple run of one script on one backend: plain vs
+/// `NoopProbe`-observed vs recorder-observed. Returns the live recorder for
+/// span checks.
 fn run_lockstep(
     backend: IncrementalBackend,
     script: &[usize],
@@ -46,20 +46,20 @@ fn run_lockstep(
             active[p] = false;
             (
                 plain.release(p),
-                noop.release_traced(p, &NoopProbe, &NoopTracer),
-                live.release_traced(p, &NoopProbe, &recorder),
+                noop.release_observed(p, &NoopProbe),
+                live.release_observed(p, &recorder),
             )
         } else {
             active[p] = true;
             submits += 1;
             (
                 plain.request(p),
-                noop.request_traced(p, &NoopProbe, &NoopTracer),
-                live.request_traced(p, &NoopProbe, &recorder),
+                noop.request_observed(p, &NoopProbe),
+                live.request_observed(p, &recorder),
             )
         };
         let d0 = d0.expect("valid interleavings never error");
-        prop_assert_eq!(d0, d1.expect("noop-traced run errored"));
+        prop_assert_eq!(d0, d1.expect("noop-observed run errored"));
         prop_assert_eq!(d0, d2.expect("live-traced run errored"));
         prop_assert_eq!(plain.allocated_count(), live.allocated_count());
         prop_assert_eq!(plain.queued_count(), live.queued_count());
@@ -72,8 +72,8 @@ proptest! {
 
     /// Tracing is outcome-transparent on both backends: every decision,
     /// and the retained allocated/queued counts after every command, are
-    /// identical whether the stream runs plain, noop-traced, or under a
-    /// live flight recorder.
+    /// identical whether the stream runs plain, under `NoopProbe`, or under
+    /// a live flight recorder.
     #[test]
     fn tracing_never_changes_outcomes(script in arb_script()) {
         for backend in BACKENDS {
@@ -104,39 +104,29 @@ proptest! {
         }
     }
 
-    /// The serve pipeline inherits transparency byte-for-byte: the decision
+    /// The serve loop inherits transparency byte-for-byte: the decision
     /// log (with interleaved `S` stats lines) is identical plain vs traced,
-    /// on both backends, at several worker counts.
+    /// on both backends.
     #[test]
     fn traced_serve_log_is_byte_identical(seed in 0u64..64) {
         let net = omega(8).unwrap();
         let commands = with_stats_every(&generate_commands(8, 96, 0.6, seed, 0), 24);
         for backend in BACKENDS {
-            let cfg = |workers| ServerConfig { backend, workers, stats_latency: false };
-            let baseline = serve_commands(&net, cfg(1), &commands).log();
-            for workers in [1usize, 4] {
-                let recorder = Arc::new(FlightRecorder::new(
-                    rsin_obs::trace::DEFAULT_TRACE_CAPACITY,
-                ));
-                let report = serve_commands_traced(
-                    &net,
-                    cfg(workers),
-                    &commands,
-                    Arc::new(NoopProbe),
-                    recorder.clone(),
-                );
-                prop_assert_eq!(&report.log(), &baseline);
-                let snap = recorder.snapshot();
-                if let Err(e) = validate_spans(&snap.events) {
-                    prop_assert!(false, "ill-formed serve span stream: {}", e);
-                }
+            let cfg = ServerConfig { backend, ..Default::default() };
+            let baseline = serve_commands(&net, cfg, &commands).log();
+            let recorder = FlightRecorder::new(rsin_obs::trace::DEFAULT_TRACE_CAPACITY);
+            let report = serve_commands_observed(&net, cfg, &commands, &recorder);
+            prop_assert_eq!(&report.log(), &baseline);
+            let snap = recorder.snapshot();
+            if let Err(e) = validate_spans(&snap.events) {
+                prop_assert!(false, "ill-formed serve span stream: {}", e);
             }
         }
     }
 }
 
 /// Decisions must concern the commanded processor even when traced (guards
-/// against the tracer's request-id bookkeeping leaking into routing).
+/// against the request-id bookkeeping leaking into routing).
 #[test]
 fn traced_decisions_name_the_commanded_processor() {
     let net = omega(8).unwrap();
@@ -146,10 +136,10 @@ fn traced_decisions_name_the_commanded_processor() {
     for p in [0usize, 3, 0, 3, 5, 5, 1, 2, 1, 2] {
         let d = if active[p] {
             active[p] = false;
-            inc.release_traced(p, &NoopProbe, &recorder).unwrap()
+            inc.release_observed(p, &recorder).unwrap()
         } else {
             active[p] = true;
-            inc.request_traced(p, &NoopProbe, &recorder).unwrap()
+            inc.request_observed(p, &recorder).unwrap()
         };
         let named = match d {
             StreamDecision::Allocated { processor, .. }
